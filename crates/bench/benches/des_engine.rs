@@ -1,24 +1,34 @@
 //! Benchmarks the discrete-event engine hot path at fleet-day scale:
-//! a long saturated run (pure engine throughput, no arrival gaps) and a
+//! a long saturated run (pure engine throughput, no arrival gaps), a
 //! long drive timeline (phased engine + matcher, the shape `repro drive`
-//! and the planned fleet artifact pay per vehicle). Medians seed
-//! `BENCH_des_engine.json`; append one entry per PR that touches the
-//! engine hot path so regressions stay visible PR-over-PR.
+//! pays per vehicle), and the 721-item perception schedule the artifacts
+//! actually simulate — as one stream and as a three-tenant co-run
+//! carrying the same total frame load, so the two medians divide into
+//! comparable per-frame costs. Medians seed `BENCH_des_engine.json`;
+//! append one entry per change that touches the engine hot path so
+//! regressions stay visible change over change.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
 use npu_dnn::models::attention::{fusion_block, FusionConfig};
-use npu_dnn::StageKind;
+use npu_dnn::{PerceptionConfig, StageKind};
 use npu_maestro::{FittedMaestro, ReconfigModel};
 use npu_mcm::{ChipletId, McmPackage};
-use npu_pipesim::{simulate, SimConfig};
+use npu_pipesim::{simulate, simulate_tenants, Arrivals, Readiness, SimConfig, SimPhase};
 use npu_scenario::{simulate_drive, Drive};
-use npu_sched::{LayerPlan, ModelPlan, Schedule, StagePlan};
-use npu_tensor::Seconds;
+use npu_sched::{LayerPlan, MatcherConfig, ModelPlan, Schedule, StagePlan, ThroughputMatcher};
+use npu_tensor::{Dtype, Seconds};
 
 /// Frames in the saturated case: enough that per-frame costs dominate
 /// setup, small enough that one sample stays sub-second.
 const SATURATED_FRAMES: usize = 100_000;
+
+/// Frames through the perception schedule per iteration, in total over
+/// all streams: per-frame cost = median / `PERCEPTION_FRAMES`.
+const PERCEPTION_FRAMES: usize = 240;
+
+/// Co-running tenants in the multi-tenant perception case.
+const TENANTS: usize = 3;
 
 /// Seconds per segment of the long drive: 240 s of 30 FPS video per leg
 /// (7 200 frames), three legs — a million-frame day is 120 of these.
@@ -81,6 +91,38 @@ fn bench(c: &mut Criterion) {
                 &ReconfigModel::default(),
             ))
         })
+    });
+
+    // The 721-item perception schedule on the paper's 6×6 package,
+    // offered at its analytic pipelining interval: the per-frame cost
+    // every scenario, drive and fleet run pays.
+    let outcome = ThroughputMatcher::new(&model, MatcherConfig::default())
+        .match_throughput(&PerceptionConfig::default().build(), &pkg);
+    let pipe = outcome.report.pipe.as_secs();
+    let one = SimConfig::with_arrivals(
+        PERCEPTION_FRAMES,
+        Arrivals::Periodic {
+            interval: Seconds::new(pipe),
+        },
+    );
+    g.bench_function("perception_1x240_6x6", |b| {
+        b.iter(|| black_box(simulate(&outcome.schedule, &pkg, &model, &one)))
+    });
+
+    // The same total load as three tenants contending for all 36
+    // chiplets: each offers a third of the frames at three times the
+    // interval, staggered by one interval.
+    let per_tenant = PERCEPTION_FRAMES / TENANTS;
+    let streams: Vec<SimPhase<'_>> = (0..TENANTS)
+        .map(|k| {
+            let times = (0..per_tenant)
+                .map(|f| (k + f * TENANTS) as f64 * pipe)
+                .collect();
+            SimPhase::new(&outcome.schedule, times, Readiness::Barrier(0.0))
+        })
+        .collect();
+    g.bench_function("perception_3x80_6x6", |b| {
+        b.iter(|| black_box(simulate_tenants(&streams, &pkg, &model, Dtype::Fp16)))
     });
     g.finish();
 }

@@ -9,7 +9,8 @@
 //!   D'Hondt apportionment), match each [`Tenant`]'s workload onto its
 //!   band with `npu-sched`'s throughput matcher, and verify all tenants
 //!   together in a single shared-calendar DES run
-//!   (`npu_pipesim::simulate_tenants`), one tenant-tagged report each.
+//!   (`npu_pipesim::simulate_tenants`, the same engine pass that serves
+//!   single-stream runs), one tenant-tagged report each.
 //! * **Admission control** ([`CoScheduler::admit`]) — deterministic,
 //!   two-staged (analytic screen, then DES verification of every
 //!   tenant's mean and p99 SLO), with typed [`RejectReason`]s and an

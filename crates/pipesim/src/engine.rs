@@ -1,4 +1,6 @@
-//! The discrete-event engine.
+//! The discrete-event engine: one core over K arrival streams on a
+//! shared calendar, behind the thin adapters [`simulate`],
+//! [`simulate_with_stats`], [`simulate_phases`] and [`simulate_tenants`].
 
 use std::cmp::Ordering;
 use std::collections::{BTreeMap, BinaryHeap, VecDeque};
@@ -83,12 +85,16 @@ impl SimConfig {
     }
 }
 
-/// Priority: earlier frame first, then item (topological) order. The
-/// pool slot rides along as payload — two jobs of one frame always share
-/// a slot, so ordering (and equality) ignore it.
+/// Priority: earlier frame first, then item (topological) order. A
+/// frame's `rank` is its position in the global arrival order — by
+/// (arrival time, stream, frame), so with one stream it is the frame
+/// index — which makes the order total across streams. The pool slot
+/// rides along as payload: two jobs of one frame always share a slot,
+/// so ordering (and equality) ignore it.
 #[derive(Debug, Clone, Copy)]
 struct Job {
-    frame: usize,
+    rank: usize,
+    /// Global item id (stream offset + topological index).
     item: u32,
     /// Index of the frame's recycled pool slot (payload, not priority).
     slot: u32,
@@ -96,7 +102,7 @@ struct Job {
 
 impl PartialEq for Job {
     fn eq(&self, other: &Self) -> bool {
-        (self.frame, self.item) == (other.frame, other.item)
+        (self.rank, self.item) == (other.rank, other.item)
     }
 }
 
@@ -105,7 +111,7 @@ impl Eq for Job {}
 impl Ord for Job {
     fn cmp(&self, other: &Self) -> Ordering {
         // BinaryHeap is a max-heap; invert for earliest-first.
-        (other.frame, other.item).cmp(&(self.frame, self.item))
+        (other.rank, other.item).cmp(&(self.rank, self.item))
     }
 }
 
@@ -115,10 +121,10 @@ impl PartialOrd for Job {
     }
 }
 
-/// One item-completion event on the calendar. Frame arrivals are no
-/// longer heaped — the engine walks the (non-decreasing) arrival
-/// timestamps with a cursor and interleaves them with the calendar in
-/// time order, so the heap holds at most one event per chiplet.
+/// One item-completion event on the calendar. Frame arrivals are not
+/// heaped — the engine walks the (non-decreasing) arrival timestamps
+/// with a cursor and interleaves them with the calendar in time order,
+/// so the heap holds at most one event per chiplet.
 #[derive(Debug, Clone, Copy, PartialEq)]
 struct Scheduled {
     time: f64,
@@ -173,8 +179,6 @@ pub struct EngineStats {
     /// pool's high-water mark (= slots allocated; slots are recycled as
     /// frames complete, so this is the pool's final capacity too).
     pub peak_in_flight: usize,
-    /// Frames flushed in flight at the run's cutoff (0 without one).
-    pub flushed: usize,
 }
 
 /// [`simulate`], also returning the engine's [`EngineStats`] — the
@@ -186,9 +190,18 @@ pub fn simulate_with_stats(
     model: &dyn CostModel,
     cfg: &SimConfig,
 ) -> (SimReport, EngineStats) {
-    let items = flatten_items(schedule, pkg, model, cfg.dtype);
     let times = cfg.arrivals.times(cfg.frames);
-    run_items(&items, &times, cfg.warmup, None)
+    // No frame arrives before the first one: the barrier admits all.
+    let first = times.first().copied().unwrap_or(0.0);
+    let stream = SimPhase {
+        warmup: Some(cfg.warmup),
+        ..SimPhase::new(schedule, times, Readiness::Barrier(first))
+    };
+    let streams = std::slice::from_ref(&stream);
+    let mut flat = Flattened::new();
+    flatten_into(&mut flat, streams, pkg, model, cfg.dtype);
+    let (mut reports, stats) = Engine::new(streams, &flat).run();
+    (reports.remove(0).report, stats)
 }
 
 /// When an incoming mapping can accept frames: either a package-wide
@@ -254,15 +267,12 @@ impl Readiness {
         }
     }
 
-    fn assert_finite(&self) {
+    fn is_finite(&self) -> bool {
         match self {
-            Readiness::Barrier(t) => {
-                assert!(t.is_finite(), "phase readiness must be finite")
+            Readiness::Barrier(t) => t.is_finite(),
+            Readiness::PerChiplet { at, ready } => {
+                at.is_finite() && ready.iter().all(|(_, r)| r.is_finite())
             }
-            Readiness::PerChiplet { at, ready } => assert!(
-                at.is_finite() && ready.iter().all(|(_, r)| r.is_finite()),
-                "phase readiness must be finite"
-            ),
         }
     }
 }
@@ -275,7 +285,8 @@ impl Readiness {
 /// arrival — is the longest path into the item over the dependency DAG
 /// (`flatten_items` indexes items topologically, so one forward pass
 /// suffices). In the DES an item can only start **later** than
-/// `arrival + est[i]` (queueing and chiplet contention add delay, never
+/// `arrival + est[i]` (queueing and chiplet contention — from the
+/// stream's own frames or a co-running stream's — add delay, never
 /// remove it), so a chiplet `c` whose earliest wavefront offset is
 /// `offset[c] = min est[i]` over its items is first touched by a frame
 /// arriving at `t` no earlier than `t + offset[c]`. Gating admission at
@@ -311,35 +322,40 @@ pub(crate) fn admission_gate(items: &[SimItem], readiness: &Readiness) -> f64 {
     gate
 }
 
-/// One phase of a time-varying simulation: a compiled schedule serving
-/// absolute-time frame arrivals under a [`Readiness`] model. Frames
-/// arriving while the gating resources are still spinning up are
-/// **dropped** — the re-match window of an online mode switch — and
-/// counted in the phase's [`PhaseReport`] instead of entering the
-/// pipeline.
+/// One arrival stream: a compiled schedule serving absolute-time frame
+/// arrivals under a [`Readiness`] model. [`simulate_phases`] runs
+/// streams one after another as the phases of a time-varying run (a
+/// drive's mode switches); [`simulate_tenants`] runs them concurrently
+/// as tenants sharing one package. Frames arriving while the gating
+/// resources are still spinning up are **dropped** — the re-match window
+/// of an online mode switch — and counted in the stream's
+/// [`PhaseReport`] instead of entering the pipeline.
 #[derive(Debug, Clone)]
 pub struct SimPhase<'a> {
-    /// The schedule active during this phase.
+    /// The stream's compiled schedule (a tenant's chiplet region is
+    /// implied by its shard assignments).
     pub schedule: &'a Schedule,
-    /// Absolute arrival timestamps of the phase's frames (non-decreasing).
+    /// Absolute arrival timestamps of the stream's frames
+    /// (non-decreasing).
     pub times: Vec<f64>,
-    /// When the phase's mapping accepts frames: a package-wide barrier
+    /// When the stream's mapping accepts frames: a package-wide barrier
     /// or a make-before-break per-chiplet schedule.
     pub readiness: Readiness,
-    /// Symmetric steady-state trim for the phase's report (see
+    /// Symmetric steady-state trim for the stream's report (see
     /// [`SimConfig::warmup`]); `None` derives the default trim from the
     /// **served** frame count once admission drops are known.
     pub warmup: Option<usize>,
-    /// Boundary instant at which the phase's in-flight frames are
+    /// Boundary instant at which the stream's in-flight frames are
     /// flushed: set when the *next* transition is a full barrier (the
-    /// package quiesces, killing in-flight work). `None` lets frames
-    /// drain past the boundary — a make-before-break handover keeps the
-    /// outgoing chiplets serving until their queues empty.
+    /// package or the tenant's region quiesces, killing in-flight work).
+    /// `None` lets frames drain past the boundary — a make-before-break
+    /// handover keeps the outgoing chiplets serving until their queues
+    /// empty.
     pub cutoff: Option<f64>,
 }
 
 impl<'a> SimPhase<'a> {
-    /// A phase that drains freely at its end (no boundary flush) with
+    /// A stream that drains freely at its end (no boundary flush) with
     /// the default steady-state trim.
     pub fn new(schedule: &'a Schedule, times: Vec<f64>, readiness: Readiness) -> SimPhase<'a> {
         SimPhase {
@@ -409,209 +425,338 @@ impl PhaseReport {
 /// (`cutoff = None`), a full-barrier switch quiesces the package and
 /// flushes them (`cutoff = Some(boundary)`), counted per phase so
 /// `offered == served + dropped + flushed` always balances. Per-phase
-/// busy fractions are relative to each phase's own span.
+/// busy fractions are relative to each phase's own span and count only
+/// service before the phase's cutoff.
 ///
-/// A single phase with readiness at or before its first arrival is
-/// exactly [`simulate`] — same event order, bit-identical statistics —
-/// which the cross-validation suite pins.
+/// Each phase is one engine pass of its own. A single phase with
+/// readiness at or before its first arrival is exactly [`simulate`] —
+/// same event order, bit-identical statistics — which the
+/// cross-validation suite pins.
 ///
 /// # Panics
 ///
-/// Panics if a phase's schedule is empty or its times are not finite and
-/// non-decreasing.
+/// Panics if a phase's schedule is empty, its times are not finite and
+/// non-decreasing, or its readiness is not finite.
 pub fn simulate_phases(
     phases: &[SimPhase<'_>],
     pkg: &McmPackage,
     model: &dyn CostModel,
     dtype: Dtype,
 ) -> Vec<PhaseReport> {
-    // Flattening a schedule walks every layer shard through the cost
-    // model; drives re-enter the same compiled schedule for many phases,
-    // so cache flattened items per schedule. Keying on the reference's
-    // address is sound here: every phase borrows its schedule for the
-    // whole call, so two equal pointers are the same live `Schedule`.
-    let mut flat_cache: BTreeMap<*const Schedule, Vec<SimItem>> = BTreeMap::new();
+    let mut flat = Flattened::new();
     phases
         .iter()
         .map(|phase| {
-            assert!(
-                phase.times.windows(2).all(|w| w[0] <= w[1])
-                    && phase.times.iter().all(|t| t.is_finite()),
-                "phase arrivals must be finite and non-decreasing"
-            );
-            phase.readiness.assert_finite();
-            let items = flat_cache
-                .entry(phase.schedule as *const Schedule)
-                .or_insert_with(|| flatten_items(phase.schedule, pkg, model, dtype));
-            let gate = admission_gate(items, &phase.readiness);
-            // Times are non-decreasing, so the served frames are exactly
-            // the suffix from the first arrival at or after the gate.
-            let first_served = phase.times.partition_point(|&t| t < gate);
-            let served = &phase.times[first_served..];
-            // Post-drop trim (the offered count would misalign the
-            // steady-state window after a heavy-drop transition).
-            let warmup = phase
-                .warmup
-                .unwrap_or_else(|| SimConfig::default_warmup(served.len()));
-            let (report, stats) = run_items(items, served, warmup, phase.cutoff);
-            PhaseReport {
-                report,
-                offered: phase.times.len(),
-                dropped: first_served,
-                flushed: stats.flushed,
-                admitted_from: gate,
-            }
+            let phase = std::slice::from_ref(phase);
+            flatten_into(&mut flat, phase, pkg, model, dtype);
+            Engine::new(phase, &flat).run().0.remove(0)
         })
         .collect()
 }
 
-/// One pooled in-flight frame: per-item remaining-dependency counters
-/// (reset from the template on reuse) plus the count of items left.
-struct FrameSlot {
-    deps_left: Vec<u32>,
-    remaining: u32,
+/// Co-simulates K tenant streams on one package through a shared event
+/// calendar, returning one tenant-tagged [`PhaseReport`] per stream (in
+/// input order): per-tenant steady-state statistics over the frames that
+/// were actually served, plus offered/dropped/flushed counts.
+///
+/// Tenants whose schedules touch the same chiplet contend for it in
+/// global (arrival time, stream, frame) priority order — a frame
+/// arriving earlier goes first, and same-instant arrivals resolve by
+/// input order. Tenants on disjoint regions are bit-identical to
+/// standalone [`simulate_phases`] runs, and a single stream is exactly
+/// a one-phase [`simulate_phases`] run. Each tenant's report exposes
+/// busy fractions for the chiplets its own schedule uses — on a shared
+/// chiplet that is the chiplet's *total* utilization over the tenant's
+/// observed span, since the silicon does not idle between tenants.
+///
+/// # Panics
+///
+/// Panics if a stream's schedule is empty, its times are not finite and
+/// non-decreasing, or its readiness is not finite.
+pub fn simulate_tenants(
+    streams: &[SimPhase<'_>],
+    pkg: &McmPackage,
+    model: &dyn CostModel,
+    dtype: Dtype,
+) -> Vec<PhaseReport> {
+    let mut flat = Flattened::new();
+    flatten_into(&mut flat, streams, pkg, model, dtype);
+    Engine::new(streams, &flat).run().0
 }
 
-/// The rebuilt DES core. Peak memory is O(items × in-flight frames), not
-/// O(items × frames):
-///
-/// - frame dependency state lives in a recycled pool slot, allocated when
-///   the frame's **first job starts** (not when it arrives — a saturated
-///   run offers every frame at t = 0) and freed when its last completes;
-/// - arrivals are walked with a cursor (`arrived`) and interleaved with
-///   the completion calendar in time order instead of being heaped
-///   upfront, with arrivals winning time ties exactly like the old
-///   engine's low-seq arrival events did;
-/// - root jobs (no dependencies) of arrived frames are represented by a
-///   per-chiplet **virtual cursor** over `roots` instead of queue
-///   entries, so a backlog of arrived-but-unstarted frames costs nothing;
-/// - chiplet state is dense `Vec`s indexed by the schedule's sorted
-///   distinct chiplet list, built once per run;
-/// - statistics stream through [`ReportBuilder`] via a small reorder ring
-///   that commits completions back into frame order.
-struct Engine<'a> {
-    items: &'a [SimItem],
-    times: &'a [f64],
+/// Flattened items per distinct schedule of one call.
+type Flattened = BTreeMap<*const Schedule, Vec<SimItem>>;
 
-    // Per-schedule prep (immutable during the run).
-    /// Sorted distinct chiplets hosting work; dense index = position.
-    chiplet_ids: Vec<ChipletId>,
-    /// Dense chiplet index of each item.
-    chiplet_of: Vec<u32>,
-    /// Service time of each item in seconds.
-    durations: Vec<f64>,
-    /// Reverse dependency lists, ascending item order.
-    dependents: Vec<Vec<u32>>,
-    /// Dependency counts, copied into a pool slot on (re)allocation.
-    deps_template: Vec<u32>,
-    /// Per-chiplet root items (empty deps), ascending item order.
-    roots: Vec<Vec<u32>>,
+/// Flattens each schedule of `streams` not yet in `flat`: every
+/// distinct schedule is flattened once per call. Drives re-enter the
+/// same compiled schedule for many phases, so keying on the reference's
+/// address pays; it is sound because every stream borrows its schedule
+/// for the whole call, so two equal pointers are the same live
+/// `Schedule`.
+fn flatten_into(
+    flat: &mut Flattened,
+    streams: &[SimPhase<'_>],
+    pkg: &McmPackage,
+    model: &dyn CostModel,
+    dtype: Dtype,
+) {
+    for s in streams {
+        flat.entry(s.schedule as *const Schedule)
+            .or_insert_with(|| flatten_items(s.schedule, pkg, model, dtype));
+    }
+}
+
+/// Per-stream run state: the stream's slice of the global item table,
+/// its arrival cursor, its free pool slots, its streaming report and
+/// its admission accounting.
+struct Lane<'a> {
+    /// Arrival times of the frames admitted past the gate.
+    times: &'a [f64],
+    /// Arrival cursor: the stream's frames `0..arrived` have arrived.
+    arrived: usize,
+    /// Global id of the stream's first item.
+    offset: usize,
+    /// The stream's item count.
+    n_items: usize,
     /// Dense chiplet index of each root item in item order: the dispatch
     /// fan-out of one frame arrival.
     root_dispatch: Vec<u32>,
-
-    // Event calendar: item completions only.
-    heap: BinaryHeap<Scheduled>,
-    seq: u64,
-    /// Next-arrival cursor: frames `0..arrived` have arrived.
-    arrived: usize,
-
-    // Per-chiplet executors (dense).
-    /// Ready non-root jobs per chiplet (roots stay virtual).
-    queues: Vec<BinaryHeap<Job>>,
-    busy_until: Vec<f64>,
-    busy_time: Vec<f64>,
-    /// Virtual root cursor: the earliest not-yet-started root job on
-    /// chiplet `c` is `(v_frame[c], roots[c][v_idx[c]])`.
-    v_frame: Vec<usize>,
-    v_idx: Vec<usize>,
-
-    // Bounded in-flight frame pool.
-    pool: Vec<FrameSlot>,
+    /// Sorted dense indices of the chiplets the stream's schedule uses
+    /// (its report's busy map).
+    chiplets: Vec<u32>,
+    /// Recycled pool slots sized for this stream.
     free_slots: Vec<u32>,
-    slot_of_frame: BTreeMap<usize, u32>,
-    peak_in_flight: usize,
-
-    // Streaming report.
     /// Completion reorder ring: `commit[i]` holds the completion time of
     /// frame `commit_next + i` (NaN = still in flight). Completions
     /// commit out of frame order; the ring drains them back in order.
     commit: VecDeque<f64>,
     commit_next: usize,
     report: ReportBuilder,
+    /// Frames offered, and dropped before the gate at `gate`.
+    offered: usize,
+    dropped: usize,
+    gate: f64,
+}
+
+/// A virtual root cursor: the earliest not-yet-started root job of one
+/// stream on one chiplet is `(frame, roots[idx])`, so a backlog of
+/// arrived-but-unstarted frames costs no queue entries.
+struct RootCursor {
+    stream: u32,
+    /// Global ids of the stream's root items on this chiplet, ascending.
+    roots: Vec<u32>,
+    frame: usize,
+    idx: usize,
+    /// Global arrival rank of `frame` (cached: it changes once a frame).
+    rank: usize,
+}
+
+/// One pooled in-flight frame: per-item remaining-dependency counters
+/// of its stream's items (reset from the template on reuse) plus the
+/// count of items left.
+struct FrameSlot {
+    stream: u32,
+    /// Global id of the stream's first item.
+    offset: u32,
+    frame: usize,
+    deps_left: Vec<u32>,
+    remaining: u32,
+}
+
+/// The DES core over K streams on one event calendar. Peak memory is
+/// O(items × in-flight frames), never O(frames):
+///
+/// - frame dependency state lives in a recycled pool slot, allocated when
+///   the frame's **first job starts** (not when it arrives — a saturated
+///   run offers every frame at t = 0) and freed when its last completes;
+/// - arrivals are walked with per-stream cursors, merged in (time,
+///   stream) order and interleaved with the completion calendar in time
+///   order, with arrivals winning time ties;
+/// - root jobs (no dependencies) of arrived frames are represented by
+///   per-(chiplet, stream) [`RootCursor`]s instead of queue entries;
+/// - item and chiplet state is dense `Vec`s: each stream's items occupy
+///   one slice of a global table, chiplets are indexed by the sorted
+///   distinct chiplet list, built once per run;
+/// - statistics stream through each stream's [`ReportBuilder`] via a
+///   small reorder ring that commits completions back into frame order.
+///
+/// Jobs are served by (arrival rank, item). Chiplet busy time is global
+/// (a shared chiplet is busy no matter whose frame it serves).
+struct Engine<'a> {
+    // Per-run prep (immutable during the run).
+    /// Sorted distinct chiplets hosting work; dense index = position.
+    chiplet_ids: Vec<ChipletId>,
+    /// Dense chiplet index of each item.
+    chiplet_of: Vec<u32>,
+    /// Service time of each item in seconds.
+    durations: Vec<f64>,
+    /// Reverse dependency lists, ascending item order (edges stay within
+    /// one stream's item range).
+    dependents: Vec<Vec<u32>>,
+    /// Dependency counts, copied into a pool slot on (re)allocation.
+    deps_template: Vec<u32>,
+
+    lanes: Vec<Lane<'a>>,
+    /// The next frame to arrive: (time, stream), ties to the lower
+    /// stream.
+    next_arrival: Option<(f64, usize)>,
+    /// Frames arrived over all streams. Frames arrive in rank order, so
+    /// a frame has arrived iff its rank is below this.
+    arrived: usize,
+
+    // Event calendar: item completions only.
+    heap: BinaryHeap<Scheduled>,
+    seq: u64,
+
+    // Per-chiplet executors (dense).
+    /// Ready non-root jobs per chiplet (roots stay virtual).
+    queues: Vec<BinaryHeap<Job>>,
+    busy_until: Vec<f64>,
+    busy_time: Vec<f64>,
+    /// Per-chiplet busy seconds before each cut-off stream's cutoff:
+    /// `(stream, cutoff, busy)`. Such a stream's span ends at its cutoff,
+    /// so service running past it must not count toward its busy
+    /// fractions; every other stream reads `busy_time`.
+    clipped: Vec<(usize, f64, Vec<f64>)>,
+    /// Root cursors per chiplet, ascending stream order.
+    cursors: Vec<Vec<RootCursor>>,
+
+    // Bounded in-flight frame pool (slots keep their stream).
+    pool: Vec<FrameSlot>,
+    slot_of_frame: BTreeMap<usize, u32>,
+    peak_in_flight: usize,
 }
 
 impl<'a> Engine<'a> {
-    fn new(
-        items: &'a [SimItem],
-        times: &'a [f64],
-        warmup: usize,
-        cutoff: Option<f64>,
-    ) -> Engine<'a> {
-        let n_items = items.len();
-        let mut chiplet_ids: Vec<ChipletId> = items.iter().map(|it| it.chiplet).collect();
+    /// Checks and admits every stream — the one entry path of all the
+    /// adapters — and builds the dense run state.
+    fn new(streams: &'a [SimPhase<'_>], flat: &'a Flattened) -> Engine<'a> {
+        let items_of = |s: &SimPhase<'_>| &flat[&(s.schedule as *const Schedule)];
+        let mut chiplet_ids: Vec<ChipletId> = streams
+            .iter()
+            .flat_map(|s| items_of(s).iter().map(|it| it.chiplet))
+            .collect();
         chiplet_ids.sort_unstable();
         chiplet_ids.dedup();
+        let n_chiplets = chiplet_ids.len();
         let dense = |c: ChipletId| {
             chiplet_ids
                 .binary_search(&c)
                 .expect("chiplet registered by prep") as u32
         };
 
-        let chiplet_of: Vec<u32> = items.iter().map(|it| dense(it.chiplet)).collect();
-        let durations: Vec<f64> = items.iter().map(|it| it.duration.as_secs()).collect();
-        let mut dependents: Vec<Vec<u32>> = vec![Vec::new(); n_items];
-        for (i, item) in items.iter().enumerate() {
-            for &d in &item.deps {
-                dependents[d].push(i as u32);
+        let mut chiplet_of = Vec::new();
+        let mut durations = Vec::new();
+        let mut deps_template = Vec::new();
+        let mut dependents: Vec<Vec<u32>> = Vec::new();
+        let mut cursors: Vec<Vec<RootCursor>> = (0..n_chiplets).map(|_| Vec::new()).collect();
+        let mut lanes = Vec::with_capacity(streams.len());
+        for (k, s) in streams.iter().enumerate() {
+            assert!(
+                s.times.windows(2).all(|w| w[0] <= w[1]) && s.times.iter().all(|t| t.is_finite()),
+                "arrival times must be finite and non-decreasing"
+            );
+            assert!(s.readiness.is_finite(), "readiness must be finite");
+            let items = items_of(s);
+            assert!(!items.is_empty(), "cannot simulate an empty schedule");
+            // Times are non-decreasing, so the served frames are exactly
+            // the suffix from the first arrival at or after the gate.
+            let gate = admission_gate(items, &s.readiness);
+            let dropped = s.times.partition_point(|&t| t < gate);
+            let times = &s.times[dropped..];
+            // Post-drop trim (the offered count would misalign the
+            // steady-state window after a heavy-drop transition).
+            let warmup = s
+                .warmup
+                .unwrap_or_else(|| SimConfig::default_warmup(times.len()));
+            let offset = chiplet_of.len();
+            dependents.resize(offset + items.len(), Vec::new());
+            let mut root_dispatch = Vec::new();
+            for (i, item) in items.iter().enumerate() {
+                let c = dense(item.chiplet);
+                let gi = (offset + i) as u32;
+                chiplet_of.push(c);
+                durations.push(item.duration.as_secs());
+                deps_template.push(item.deps.len() as u32);
+                for &d in &item.deps {
+                    dependents[offset + d].push(gi);
+                }
+                if item.deps.is_empty() {
+                    match cursors[c as usize].last_mut() {
+                        Some(cur) if cur.stream == k as u32 => cur.roots.push(gi),
+                        _ => cursors[c as usize].push(RootCursor {
+                            stream: k as u32,
+                            roots: vec![gi],
+                            frame: 0,
+                            idx: 0,
+                            rank: 0,
+                        }),
+                    }
+                    root_dispatch.push(c);
+                }
             }
-        }
-        let deps_template: Vec<u32> = items.iter().map(|it| it.deps.len() as u32).collect();
-        let mut roots: Vec<Vec<u32>> = vec![Vec::new(); chiplet_ids.len()];
-        let mut root_dispatch: Vec<u32> = Vec::new();
-        for (i, item) in items.iter().enumerate() {
-            if item.deps.is_empty() {
-                roots[chiplet_of[i] as usize].push(i as u32);
-                root_dispatch.push(chiplet_of[i]);
-            }
+            let mut chiplets: Vec<u32> = chiplet_of[offset..].to_vec();
+            chiplets.sort_unstable();
+            chiplets.dedup();
+            lanes.push(Lane {
+                times,
+                arrived: 0,
+                offset,
+                n_items: items.len(),
+                root_dispatch,
+                chiplets,
+                free_slots: Vec::new(),
+                commit: VecDeque::new(),
+                commit_next: 0,
+                report: ReportBuilder::new(times.len(), warmup, s.cutoff),
+                offered: s.times.len(),
+                dropped,
+                gate,
+            });
         }
 
-        let n_chiplets = chiplet_ids.len();
-        Engine {
-            items,
-            times,
+        let mut engine = Engine {
+            chiplet_ids,
             chiplet_of,
             durations,
             dependents,
             deps_template,
-            roots,
-            root_dispatch,
+            lanes,
+            next_arrival: None,
+            arrived: 0,
             heap: BinaryHeap::new(),
             seq: 0,
-            arrived: 0,
             queues: (0..n_chiplets).map(|_| BinaryHeap::new()).collect(),
             busy_until: vec![0.0; n_chiplets],
             busy_time: vec![0.0; n_chiplets],
-            v_frame: vec![0; n_chiplets],
-            v_idx: vec![0; n_chiplets],
+            clipped: streams
+                .iter()
+                .enumerate()
+                .filter_map(|(k, s)| s.cutoff.map(|at| (k, at, vec![0.0; n_chiplets])))
+                .collect(),
+            cursors,
             pool: Vec::new(),
-            free_slots: Vec::new(),
             slot_of_frame: BTreeMap::new(),
             peak_in_flight: 0,
-            commit: VecDeque::new(),
-            commit_next: 0,
-            report: ReportBuilder::new(times.len(), warmup, cutoff),
-            chiplet_ids,
+        };
+        engine.next_arrival = engine.scan_next_arrival();
+        for c in 0..n_chiplets {
+            for e in 0..engine.cursors[c].len() {
+                engine.cursors[c][e].rank = engine.rank(engine.cursors[c][e].stream as usize, 0);
+            }
         }
+        engine
     }
 
-    fn run(mut self) -> (SimReport, EngineStats) {
+    /// Runs the simulation, returning each stream's report in stream
+    /// order.
+    fn run(mut self) -> (Vec<PhaseReport>, EngineStats) {
         loop {
-            // Interleave the arrival cursor with the completion calendar
+            // Interleave the arrival cursors with the completion calendar
             // in time order; `<=` lets arrivals win ties, matching the
             // event order of the heaped-arrivals engine bit for bit.
-            let arrival_due = match (self.times.get(self.arrived), self.heap.peek()) {
-                (Some(&t), Some(top)) => t <= top.time,
+            let arrival_due = match (self.next_arrival, self.heap.peek()) {
+                (Some((t, _)), Some(top)) => t <= top.time,
                 (Some(_), None) => true,
                 (None, Some(_)) => false,
                 (None, None) => break,
@@ -622,105 +767,183 @@ impl<'a> Engine<'a> {
                 self.process_completion();
             }
         }
-        debug_assert_eq!(self.commit_next, self.times.len(), "all frames committed");
+        debug_assert!(
+            self.lanes.iter().all(|l| l.commit_next == l.times.len()),
+            "all frames committed"
+        );
         debug_assert_eq!(self.slot_of_frame.len(), 0, "all slots recycled");
 
-        let busy: BTreeMap<ChipletId, f64> = self
-            .chiplet_ids
-            .iter()
-            .zip(&self.busy_time)
-            .map(|(&c, &b)| (c, b))
-            .collect();
-        let stats = EngineStats {
-            frames: self.times.len(),
+        let mut stats = EngineStats {
+            frames: 0,
             peak_in_flight: self.peak_in_flight,
-            flushed: self.report.flushed(),
         };
-        (self.report.finish(&busy), stats)
+        let reports = self
+            .lanes
+            .into_iter()
+            .enumerate()
+            .map(|(k, lane)| {
+                // The stream's view of the silicon: busy seconds of each
+                // chiplet its schedule uses; the builder normalizes by
+                // the stream's own observed span.
+                let busy_time = self
+                    .clipped
+                    .iter()
+                    .find(|(j, ..)| *j == k)
+                    .map_or(&self.busy_time, |(_, _, b)| b);
+                let busy: BTreeMap<ChipletId, f64> = lane
+                    .chiplets
+                    .iter()
+                    .map(|&d| (self.chiplet_ids[d as usize], busy_time[d as usize]))
+                    .collect();
+                let flushed = lane.report.flushed();
+                stats.frames += lane.times.len();
+                PhaseReport {
+                    report: lane.report.finish(&busy),
+                    offered: lane.offered,
+                    dropped: lane.dropped,
+                    flushed,
+                    admitted_from: lane.gate,
+                }
+            })
+            .collect();
+        (reports, stats)
     }
 
-    /// Admits the next frame: advances the cursor and offers each root
-    /// job's chiplet a dispatch, in item order — the same per-root
-    /// enqueue-then-dispatch cadence as the old arrival event.
+    /// The earliest pending arrival over all streams, ties to the lower
+    /// stream index.
+    fn scan_next_arrival(&self) -> Option<(f64, usize)> {
+        let mut next: Option<(f64, usize)> = None;
+        for (k, lane) in self.lanes.iter().enumerate() {
+            if let Some(&t) = lane.times.get(lane.arrived) {
+                if next.is_none_or(|(best, _)| t < best) {
+                    next = Some((t, k));
+                }
+            }
+        }
+        next
+    }
+
+    /// The global arrival rank of stream `k`'s frame `f`: its position in
+    /// the (time, stream, frame) order of all streams' arrivals. Earlier
+    /// streams' frames at the same instant precede it, later streams'
+    /// follow. With one stream this is `f`.
+    fn rank(&self, k: usize, f: usize) -> usize {
+        // Past the stream's last frame the rank reaches the total frame
+        // count, so the cursor never fires again.
+        let t = self.lanes[k].times.get(f).copied().unwrap_or(f64::INFINITY);
+        let mut rank = f;
+        for (j, lane) in self.lanes.iter().enumerate() {
+            if j < k {
+                rank += lane.times.partition_point(|&u| u <= t);
+            } else if j > k {
+                rank += lane.times.partition_point(|&u| u < t);
+            }
+        }
+        rank
+    }
+
+    /// Admits the next frame: advances its stream's cursor and offers
+    /// each root job's chiplet a dispatch, in item order — the same
+    /// per-root enqueue-then-dispatch cadence as the old arrival event.
     fn process_arrival(&mut self) {
-        let now = self.times[self.arrived];
+        let (now, k) = self.next_arrival.expect("arrival due");
+        self.lanes[k].arrived += 1;
         self.arrived += 1;
-        for i in 0..self.root_dispatch.len() {
-            self.dispatch(self.root_dispatch[i] as usize, now);
+        self.next_arrival = self.scan_next_arrival();
+        for i in 0..self.lanes[k].root_dispatch.len() {
+            self.dispatch(self.lanes[k].root_dispatch[i] as usize, now);
         }
     }
 
     /// Starts the next ready job on chiplet `c` if it is free: the
-    /// earliest of the explicit queue head and the virtual root cursor
-    /// by (frame, item) — roots never sit in the explicit queue, so the
-    /// two heads cannot tie.
+    /// earliest of the explicit queue head and the arrived root cursors
+    /// by (rank, item) — roots never sit in the explicit queue and ranks
+    /// are unique per frame, so no two candidates tie.
     fn dispatch(&mut self, c: usize, now: f64) {
         if self.busy_until[c] > now {
             return;
         }
-        let v = if !self.roots[c].is_empty() && self.v_frame[c] < self.arrived {
-            Some((self.v_frame[c], self.roots[c][self.v_idx[c]]))
-        } else {
-            None
-        };
-        let e = self.queues[c].peek().map(|j| (j.frame, j.item));
-        let job = match (e, v) {
-            (Some(e), Some(v)) if e <= v => self.queues[c].pop().expect("peeked"),
-            (Some(_), None) => self.queues[c].pop().expect("peeked"),
-            (None, Some(_)) | (Some(_), Some(_)) => self.take_virtual(c),
-            (None, None) => return,
+        // The earliest arrived root cursor: (rank, item) and its index.
+        let mut key = (usize::MAX, u32::MAX);
+        let mut virt = None;
+        for (e, cur) in self.cursors[c].iter().enumerate() {
+            if cur.rank < self.arrived && (cur.rank, cur.roots[cur.idx]) < key {
+                key = (cur.rank, cur.roots[cur.idx]);
+                virt = Some(e);
+            }
+        }
+        let job = match (self.queues[c].peek(), virt) {
+            (Some(j), _) if (j.rank, j.item) <= key => self.queues[c].pop().expect("peeked"),
+            (_, Some(e)) => self.take_virtual(c, e),
+            _ => return,
         };
         self.start(c, job, now);
     }
 
-    /// Materializes the virtual root cursor's head into a real job,
+    /// Materializes root cursor `e` of chiplet `c` into a real job,
     /// allocating (or reusing) the frame's pool slot — the first moment
     /// the frame costs any per-frame memory.
-    fn take_virtual(&mut self, c: usize) -> Job {
-        let frame = self.v_frame[c];
-        let item = self.roots[c][self.v_idx[c]];
-        self.v_idx[c] += 1;
-        if self.v_idx[c] == self.roots[c].len() {
-            self.v_idx[c] = 0;
-            self.v_frame[c] += 1;
+    fn take_virtual(&mut self, c: usize, e: usize) -> Job {
+        let cur = &mut self.cursors[c][e];
+        let (k, frame, rank, item) = (cur.stream as usize, cur.frame, cur.rank, cur.roots[cur.idx]);
+        cur.idx += 1;
+        if cur.idx == cur.roots.len() {
+            cur.idx = 0;
+            cur.frame += 1;
+            self.cursors[c][e].rank = self.rank(k, frame + 1);
         }
-        let slot = self.slot_for(frame);
-        Job { frame, item, slot }
+        let slot = self.slot_for(k, frame, rank);
+        Job { rank, item, slot }
     }
 
-    /// The frame's pool slot: existing, recycled off the free list, or —
-    /// only when every slot is genuinely in flight — freshly grown.
-    fn slot_for(&mut self, frame: usize) -> u32 {
-        if let Some(&s) = self.slot_of_frame.get(&frame) {
+    /// The frame's pool slot: existing, recycled off its stream's free
+    /// list, or — only when every slot is genuinely in flight — freshly
+    /// grown.
+    fn slot_for(&mut self, k: usize, frame: usize, rank: usize) -> u32 {
+        if let Some(&s) = self.slot_of_frame.get(&rank) {
             return s;
         }
-        let s = match self.free_slots.pop() {
+        let lane = &mut self.lanes[k];
+        let template = &self.deps_template[lane.offset..lane.offset + lane.n_items];
+        let s = match lane.free_slots.pop() {
             Some(s) => {
                 let slot = &mut self.pool[s as usize];
-                slot.deps_left.copy_from_slice(&self.deps_template);
-                slot.remaining = self.items.len() as u32;
+                slot.frame = frame;
+                slot.deps_left.copy_from_slice(template);
+                slot.remaining = lane.n_items as u32;
                 s
             }
             None => {
                 self.pool.push(FrameSlot {
-                    deps_left: self.deps_template.clone(),
-                    remaining: self.items.len() as u32,
+                    stream: k as u32,
+                    offset: lane.offset as u32,
+                    frame,
+                    deps_left: template.to_vec(),
+                    remaining: lane.n_items as u32,
                 });
                 (self.pool.len() - 1) as u32
             }
         };
-        self.slot_of_frame.insert(frame, s);
+        self.slot_of_frame.insert(rank, s);
         self.peak_in_flight = self.peak_in_flight.max(self.slot_of_frame.len());
         s
     }
 
     fn start(&mut self, c: usize, job: Job, now: f64) {
         let dur = self.durations[job.item as usize];
-        self.busy_until[c] = now + dur;
+        let end = now + dur;
+        self.busy_until[c] = end;
         self.busy_time[c] += dur;
+        for (_, cutoff, busy) in &mut self.clipped {
+            busy[c] += if end <= *cutoff {
+                dur
+            } else {
+                (*cutoff - now).max(0.0)
+            };
+        }
         self.seq += 1;
         self.heap.push(Scheduled {
-            time: now + dur,
+            time: end,
             seq: self.seq,
             chiplet: c as u32,
             job,
@@ -735,21 +958,23 @@ impl<'a> Engine<'a> {
         let item = job.item as usize;
         self.pool[s].remaining -= 1;
         if self.pool[s].remaining == 0 {
+            let k = self.pool[s].stream as usize;
             // The frame's last item has no incomplete dependents (a
             // dependent cannot finish before its dependency), so the
             // slot retires immediately.
             debug_assert!(self.dependents[item].is_empty(), "last item has dependents");
-            self.slot_of_frame.remove(&job.frame);
-            self.free_slots.push(job.slot);
-            self.commit_completion(job.frame, time);
+            self.slot_of_frame.remove(&job.rank);
+            self.lanes[k].free_slots.push(job.slot);
+            self.commit_completion(k, self.pool[s].frame, time);
         } else {
+            let offset = self.pool[s].offset as usize;
             for di in 0..self.dependents[item].len() {
                 let succ = self.dependents[item][di] as usize;
-                self.pool[s].deps_left[succ] -= 1;
-                if self.pool[s].deps_left[succ] == 0 {
+                self.pool[s].deps_left[succ - offset] -= 1;
+                if self.pool[s].deps_left[succ - offset] == 0 {
                     let c2 = self.chiplet_of[succ] as usize;
                     self.queues[c2].push(Job {
-                        frame: job.frame,
+                        rank: job.rank,
                         item: succ as u32,
                         slot: job.slot,
                     });
@@ -760,39 +985,25 @@ impl<'a> Engine<'a> {
         self.dispatch(chiplet as usize, time);
     }
 
-    /// Parks an out-of-order completion in the reorder ring and drains
-    /// every now-contiguous frame into the streaming report.
-    fn commit_completion(&mut self, frame: usize, time: f64) {
-        let pos = frame - self.commit_next;
-        if pos >= self.commit.len() {
-            self.commit.resize(pos + 1, f64::NAN);
+    /// Parks an out-of-order completion in stream `k`'s reorder ring and
+    /// drains every now-contiguous frame into its streaming report.
+    fn commit_completion(&mut self, k: usize, frame: usize, time: f64) {
+        let lane = &mut self.lanes[k];
+        let pos = frame - lane.commit_next;
+        if pos >= lane.commit.len() {
+            lane.commit.resize(pos + 1, f64::NAN);
         }
-        self.commit[pos] = time;
-        while let Some(&front) = self.commit.front() {
+        lane.commit[pos] = time;
+        while let Some(&front) = lane.commit.front() {
             if front.is_nan() {
                 break;
             }
-            self.commit.pop_front();
-            self.report
-                .record(self.commit_next, self.times[self.commit_next], front);
-            self.commit_next += 1;
+            lane.commit.pop_front();
+            lane.report
+                .record(lane.commit_next, lane.times[lane.commit_next], front);
+            lane.commit_next += 1;
         }
     }
-}
-
-/// The discrete-event core: drives one frame per entry of `times`
-/// (absolute arrival timestamps) through the flattened items, streaming
-/// statistics as frames commit. Frames completing past `cutoff` are
-/// counted flushed instead of measured. See [`Engine`] for the memory
-/// bound.
-fn run_items(
-    items: &[SimItem],
-    times: &[f64],
-    warmup: usize,
-    cutoff: Option<f64>,
-) -> (SimReport, EngineStats) {
-    assert!(!items.is_empty(), "cannot simulate an empty schedule");
-    Engine::new(items, times, warmup, cutoff).run()
 }
 
 #[cfg(test)]
@@ -1239,6 +1450,14 @@ mod tests {
         // statistics cover only frames that completed before the cutoff.
         assert_eq!(flushed.report.measured_frames, 2);
         assert!(flushed.report.max_latency < drain.report.max_latency);
+        // The span ends at the cutoff, and so does the counted service:
+        // the chiplet ran back to back from t = 0, so it was busy for
+        // the whole 0.8 s span.
+        let busy = flushed.report.busy_fraction(ChipletId(0)).unwrap();
+        assert!((0.0..=1.0).contains(&busy), "busy fraction {busy}");
+        assert!((busy - 1.0).abs() < 1e-9, "busy fraction {busy}");
+        let drained = drain.report.busy_fraction(ChipletId(0)).unwrap();
+        assert!((0.0..=1.0).contains(&drained), "busy fraction {drained}");
     }
 
     /// The in-flight frame pool stays bounded by the schedule's natural
@@ -1293,5 +1512,290 @@ mod tests {
         assert!((rep.steady_interval.as_secs() - 1.0).abs() < 1e-9);
         // Utilization is low: the chiplet idles between frames.
         assert!(rep.busy_fraction(ChipletId(0)).unwrap() < 0.5);
+    }
+
+    fn single_chiplet_schedule(c: ChipletId) -> Schedule {
+        let g = fusion_block(&FusionConfig::spatial_default());
+        Schedule {
+            stages: vec![StagePlan {
+                kind: StageKind::SpatialFusion,
+                models: vec![ModelPlan::on_single_chiplet("s", g, c)],
+                region: vec![c],
+            }],
+        }
+    }
+
+    fn periodic(frames: usize, interval: f64, offset: f64) -> Vec<f64> {
+        (0..frames).map(|f| offset + f as f64 * interval).collect()
+    }
+
+    fn stream(schedule: &Schedule, times: Vec<f64>, warmup: usize) -> SimPhase<'_> {
+        SimPhase {
+            warmup: Some(warmup),
+            ..SimPhase::new(schedule, times, Readiness::Barrier(0.0))
+        }
+    }
+
+    /// The standalone run of one stream: a one-phase `simulate_phases`.
+    fn alone(s: &SimPhase<'_>, pkg: &McmPackage) -> PhaseReport {
+        simulate_phases(
+            std::slice::from_ref(s),
+            pkg,
+            &FittedMaestro::new(),
+            Dtype::Fp16,
+        )
+        .remove(0)
+    }
+
+    /// A cut-off tenant's busy fractions count only service before its
+    /// cutoff, on its own chiplet and on one it shares with a tenant
+    /// that keeps running: four frames at t = 0 keep each chiplet busy
+    /// well past the 0.8 s cutoff.
+    #[test]
+    fn cut_off_tenant_busy_fraction_stays_in_the_unit_interval() {
+        let pkg = McmPackage::simba_6x6();
+        let model = FittedMaestro::new();
+        let s0 = single_chiplet_schedule(ChipletId(0));
+        let s1 = single_chiplet_schedule(ChipletId(1));
+        for (what, other) in [("disjoint", &s1), ("shared", &s0)] {
+            let mut cut = stream(&s0, vec![0.0; 4], 0);
+            cut.cutoff = Some(0.8);
+            let co = simulate_tenants(
+                &[cut, stream(other, vec![0.0; 4], 0)],
+                &pkg,
+                &model,
+                Dtype::Fp16,
+            );
+            assert!(co[0].flushed > 0, "{what}: the cutoff flushes frames");
+            for rep in &co {
+                let busy = rep.report.bottleneck().unwrap().1;
+                assert!((0.0..=1.0).contains(&busy), "{what}: busy fraction {busy}");
+            }
+        }
+    }
+
+    /// Tenants on disjoint chiplet regions are bit-identical to their
+    /// standalone phased runs: sharing a calendar costs nothing when
+    /// nothing is actually shared.
+    #[test]
+    fn disjoint_regions_match_standalone_runs() {
+        let pkg = McmPackage::simba_6x6();
+        let s0 = single_chiplet_schedule(ChipletId(0));
+        let s1 = single_chiplet_schedule(ChipletId(7));
+        let streams = [
+            stream(&s0, periodic(16, 0.5, 0.0), 2),
+            stream(&s1, periodic(12, 0.7, 0.1), 2),
+        ];
+        let co = simulate_tenants(&streams, &pkg, &FittedMaestro::new(), Dtype::Fp16);
+        assert_eq!(co[0], alone(&streams[0], &pkg));
+        assert_eq!(co[1], alone(&streams[1], &pkg));
+    }
+
+    /// Two tenants contending for one chiplet: the co-run is strictly
+    /// slower than either tenant alone, and the tenant winning
+    /// same-instant ties (the lower index) runs ahead.
+    #[test]
+    fn shared_chiplet_contention_increases_latency() {
+        let pkg = McmPackage::simba_6x6();
+        let s = single_chiplet_schedule(ChipletId(0));
+        // ~366 ms service time; each tenant alone at 0.5 s intervals is
+        // arrival-limited, together they oversubscribe the chiplet.
+        let streams = [
+            stream(&s, periodic(16, 0.5, 0.0), 2),
+            stream(&s, periodic(16, 0.5, 0.0), 2),
+        ];
+        let co = simulate_tenants(&streams, &pkg, &FittedMaestro::new(), Dtype::Fp16);
+        let solo = alone(&streams[0], &pkg);
+        for rep in &co {
+            assert!(
+                rep.report.mean_latency > solo.report.mean_latency,
+                "contention must raise latency: co {} vs alone {}",
+                rep.report.mean_latency,
+                solo.report.mean_latency
+            );
+        }
+        // Tenant 0 wins every same-time tie, so it queues behind at most
+        // one tenant-1 frame; tenant 1 waits for tenant 0's backlog.
+        assert!(co[0].report.mean_latency < co[1].report.mean_latency);
+    }
+
+    /// Per-tenant spin-up windows drop exactly the frames arriving
+    /// before that tenant's gate, and the balance holds.
+    #[test]
+    fn ready_at_drops_are_per_tenant() {
+        let pkg = McmPackage::simba_6x6();
+        let s0 = single_chiplet_schedule(ChipletId(0));
+        let s1 = single_chiplet_schedule(ChipletId(1));
+        let mut late = stream(&s1, periodic(10, 0.5, 0.0), 1);
+        late.readiness = Readiness::Barrier(1.1);
+        let co = simulate_tenants(
+            &[stream(&s0, periodic(10, 0.5, 0.0), 1), late],
+            &pkg,
+            &FittedMaestro::new(),
+            Dtype::Fp16,
+        );
+        assert_eq!(co[0].dropped, 0);
+        assert_eq!(co[1].dropped, 3, "frames at 0.0, 0.5, 1.0 dropped");
+        for rep in &co {
+            assert_eq!(rep.served() + rep.dropped, rep.offered);
+        }
+        assert_eq!(co[1].report.measured_frames, 7 - 2);
+    }
+
+    /// The co-simulation is deterministic: same inputs, same bits.
+    #[test]
+    fn co_simulation_is_deterministic() {
+        let pkg = McmPackage::simba_6x6();
+        let s = single_chiplet_schedule(ChipletId(0));
+        let s2 = single_chiplet_schedule(ChipletId(2));
+        let streams = [
+            stream(&s, periodic(12, 0.4, 0.0), 2),
+            stream(&s2, periodic(12, 0.4, 0.0), 2),
+            stream(&s, periodic(12, 0.4, 0.1), 2),
+        ];
+        let run = || simulate_tenants(&streams, &pkg, &FittedMaestro::new(), Dtype::Fp16);
+        assert_eq!(run(), run());
+    }
+
+    /// A single tenant stream is bit-identical to a one-phase run.
+    #[test]
+    fn single_stream_matches_phased_engine() {
+        let pkg = McmPackage::simba_6x6();
+        let s = single_chiplet_schedule(ChipletId(3));
+        let mut one = stream(&s, periodic(20, 0.45, 0.2), 3);
+        one.readiness = Readiness::Barrier(0.3);
+        let co = simulate_tenants(
+            std::slice::from_ref(&one),
+            &pkg,
+            &FittedMaestro::new(),
+            Dtype::Fp16,
+        );
+        assert_eq!(co, vec![alone(&one, &pkg)]);
+    }
+
+    #[test]
+    fn empty_stream_list_is_empty() {
+        let pkg = McmPackage::simba_6x6();
+        let model = FittedMaestro::new();
+        assert!(simulate_tenants(&[], &pkg, &model, Dtype::Fp16).is_empty());
+        assert!(simulate_phases(&[], &pkg, &model, Dtype::Fp16).is_empty());
+    }
+
+    mod props {
+        use super::*;
+        use npu_maestro::Accelerator;
+        use npu_noc::Mesh2d;
+        use proptest::prelude::*;
+
+        use crate::ArrivalSegment;
+
+        /// The fusion block with every layer on a random chiplet of
+        /// `region` (`picks[i]` indexes the region for layer `i`).
+        fn random_schedule(temporal: bool, region: &[ChipletId], picks: &[usize]) -> Schedule {
+            let cfg = if temporal {
+                FusionConfig::temporal_default()
+            } else {
+                FusionConfig::spatial_default()
+            };
+            let g = fusion_block(&cfg);
+            let mut mp = ModelPlan::on_single_chiplet("s", g, region[0]);
+            for (i, lp) in mp.layers.iter_mut().enumerate() {
+                let c = region[picks[i % picks.len()] % region.len()];
+                for shard in &mut lp.shards {
+                    shard.chiplet = c;
+                }
+            }
+            Schedule {
+                stages: vec![StagePlan {
+                    kind: StageKind::SpatialFusion,
+                    models: vec![mp],
+                    region: region.to_vec(),
+                }],
+            }
+        }
+
+        /// One process per `Arrivals` mode, all on a ~0.2 s cadence.
+        fn arrival_modes(seed: u64) -> Vec<Arrivals> {
+            let s = Seconds::new;
+            vec![
+                Arrivals::Saturated,
+                Arrivals::Periodic { interval: s(0.2) },
+                Arrivals::Jittered {
+                    interval: s(0.2),
+                    frac: 0.5,
+                    seed,
+                },
+                Arrivals::Bursty {
+                    period: s(0.6),
+                    burst: 3,
+                    intra: s(0.05),
+                },
+                Arrivals::trace(vec![s(0.0), s(0.05), s(0.4), s(0.45)]),
+                Arrivals::piecewise(vec![
+                    ArrivalSegment {
+                        arrivals: Arrivals::Periodic { interval: s(0.1) },
+                        frames: 3,
+                        span: s(0.3),
+                    },
+                    ArrivalSegment {
+                        arrivals: Arrivals::Saturated,
+                        frames: 2,
+                        span: s(0.5),
+                    },
+                ]),
+            ]
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(12))]
+
+            /// K ∈ {1, 2, 3} tenants with random schedules on disjoint
+            /// rows of a 3×3 mesh, under every arrival mode and a
+            /// random admission barrier: each tenant's report is
+            /// bit-identical to its standalone phased run.
+            #[test]
+            fn disjoint_tenants_are_bit_identical_to_standalone_runs(
+                picks in proptest::collection::vec(0usize..3, 1..12),
+                temporal in 0usize..2,
+                frames in 1usize..9,
+                barrier in 0.0f64..0.5,
+                seed in 0u64..1000,
+            ) {
+                let pkg = McmPackage::from_fn("p3x3", Mesh2d::new(3, 3), |_| {
+                    Accelerator::shidiannao_like(256)
+                });
+                let model = FittedMaestro::new();
+                let rows: Vec<Vec<ChipletId>> = (0..3)
+                    .map(|y| (0..3).map(|x| ChipletId(3 * y + x)).collect())
+                    .collect();
+                // Tenant k shifts the picks so the tenants' placements
+                // differ, and alternates the fusion block.
+                let schedules: Vec<Schedule> = (0..3)
+                    .map(|k| {
+                        let shifted: Vec<usize> = picks.iter().map(|p| p + k).collect();
+                        random_schedule((temporal + k) % 2 == 1, &rows[k], &shifted)
+                    })
+                    .collect();
+                let modes = arrival_modes(seed);
+                for m in 0..modes.len() {
+                    for k_tenants in 1..=3 {
+                        let streams: Vec<SimPhase<'_>> = (0..k_tenants)
+                            .map(|k| SimPhase {
+                                warmup: None,
+                                ..SimPhase::new(
+                                    &schedules[k],
+                                    modes[(m + k) % modes.len()].times(frames + k),
+                                    Readiness::Barrier(barrier * k as f64),
+                                )
+                            })
+                            .collect();
+                        let co = simulate_tenants(&streams, &pkg, &model, Dtype::Fp16);
+                        for (k, s) in streams.iter().enumerate() {
+                            prop_assert_eq!(&co[k], &alone(s, &pkg));
+                        }
+                    }
+                }
+            }
+        }
     }
 }

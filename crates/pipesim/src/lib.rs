@@ -11,19 +11,24 @@
 //! `validate`), and `npu-scenario` compiles whole driving scenarios down
 //! to these arrival processes.
 //!
-//! Three simulation surfaces are exposed:
+//! One discrete-event engine ([`engine`]) runs K arrival streams on a
+//! shared event calendar. Three thin adapters expose it:
 //!
-//! * [`simulate`] — one schedule serving one arrival process (the
-//!   steady-state workbench);
+//! * [`simulate`] / [`simulate_with_stats`] — one schedule serving one
+//!   arrival process (the steady-state workbench);
 //! * [`simulate_phases`] — a time-varying run in which each
 //!   [`SimPhase`] swaps in its own compiled schedule at a phase
 //!   boundary, charging a mapping spin-up window during which arriving
 //!   frames are dropped (`npu-scenario`'s `Drive` timelines compile to
-//!   this);
-//! * [`simulate_tenants`] — K tenant streams ([`TenantStream`]) sharing
-//!   one event calendar, each with its own schedule, arrivals and
+//!   this); each phase is one engine pass;
+//! * [`simulate_tenants`] — K tenant streams (also [`SimPhase`]s)
+//!   in one engine pass, each with its own schedule, arrivals and
 //!   spin-up window, yielding one tenant-tagged report per stream
 //!   (`npu-fleet`'s co-scheduler compiles to this).
+//!
+//! Every stream goes through the same entry checks (finite,
+//! non-decreasing times; finite readiness), admission-gate drops and
+//! per-call flatten cache, whichever adapter it came through.
 //!
 //! Recorded camera logs load through [`Arrivals::from_csv_str`] /
 //! [`Arrivals::from_jsonl_str`] (string input only — callers do the
@@ -52,17 +57,15 @@
 
 pub mod arrivals;
 pub mod engine;
-pub mod multi;
 pub mod quantiles;
 pub mod report;
 pub mod trace;
 
 pub use arrivals::{ArrivalSegment, Arrivals};
 pub use engine::{
-    simulate, simulate_phases, simulate_with_stats, EngineStats, PhaseReport, Readiness, SimConfig,
-    SimPhase,
+    simulate, simulate_phases, simulate_tenants, simulate_with_stats, EngineStats, PhaseReport,
+    Readiness, SimConfig, SimPhase,
 };
-pub use multi::{simulate_tenants, TenantStream};
 pub use quantiles::Quantiles;
 pub use report::{LatencyQuantiles, SimReport};
 pub use trace::TraceError;
